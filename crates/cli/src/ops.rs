@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 
 use crate::{preflight_lint, CliError};
-use xnf_core::lossless::{transform_document, verify_lossless};
+use xnf_core::lossless::verify_lossless;
 use xnf_core::{normalize, NormalizeOptions, XmlFdSet};
 use xnf_dtd::Dtd;
 use xnf_govern::{Budget, Recorder};
@@ -226,10 +226,9 @@ pub fn normalize_spec(
     }
     if let Some(doc_src) = options.doc_src {
         let tree = parse_xml(doc_src, trust, &Budget::unlimited())?;
-        let transformed = transform_document(&dtd, &result, &tree)?;
+        let (report, transformed) = verify_lossless(&dtd, &result, &tree)?;
         writeln!(out, "=== transformed document ===")?;
         out.push_str(&xnf_xml::to_string_pretty(&transformed));
-        let report = verify_lossless(&dtd, &result, &tree)?;
         writeln!(
             out,
             "lossless round-trip: {}",

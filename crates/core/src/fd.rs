@@ -5,9 +5,15 @@
 //! `t₁, t₂ ∈ tuples_D(T)`: `t₁.S₁ = t₂.S₁` and `t₁.S₁ ≠ ⊥` imply
 //! `t₁.S₂ = t₂.S₂` — the standard semantics of FDs over relations with
 //! nulls, instantiated on the tree-tuple relation.
+//!
+//! The condition reads only the columns `S₁ ∪ S₂`, so satisfaction is
+//! decided on the projection of `tuples_D(T)` onto them
+//! ([`tuples_projected`]), which has the same set of `S₁ ∪ S₂` values as
+//! the full relation.
 
-use crate::tuples::tuples_d;
+use crate::tuples::tuples_projected;
 use crate::{CoreError, Result};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 use xnf_dtd::{Dtd, Path, PathId, PathSet};
@@ -89,10 +95,11 @@ impl XmlFd {
         })
     }
 
-    /// Whether `T` satisfies this FD (computes `tuples_D(T)`).
+    /// Whether `T` satisfies this FD, decided on the projection of
+    /// `tuples_D(T)` onto `S₁ ∪ S₂`.
     pub fn satisfied_by(&self, tree: &XmlTree, dtd: &Dtd, paths: &PathSet) -> Result<bool> {
         let resolved = self.resolve(paths)?;
-        let tuples = tuples_d(tree, dtd, paths)?;
+        let tuples = tuples_projected(tree, dtd, paths, &resolved.read_paths())?;
         Ok(resolved.check_tuples(&tuples))
     }
 }
@@ -163,8 +170,17 @@ impl ResolvedFd {
         .expect("resolved FDs have non-empty sides")
     }
 
+    /// The paths the satisfaction condition reads: `S₁ ∪ S₂`, sorted.
+    fn read_paths(&self) -> Vec<PathId> {
+        let mut out: Vec<PathId> = self.lhs.iter().chain(&self.rhs).copied().collect();
+        out.sort();
+        out.dedup();
+        out
+    }
+
     /// Checks the Section 4 satisfaction condition on a materialized tuple
-    /// set.
+    /// set (the full `tuples_D(T)`, or any projection of it that keeps
+    /// `S₁ ∪ S₂`).
     ///
     /// Tuples with a fully non-null LHS are hash-grouped by their LHS
     /// projection; the FD holds iff every group agrees on the RHS
@@ -268,12 +284,27 @@ impl XmlFdSet {
         Ok(out)
     }
 
-    /// Whether `T` satisfies every FD in the set (`T ⊨ Σ`), sharing one
-    /// `tuples_D(T)` computation.
+    /// Whether `T` satisfies every FD in the set (`T ⊨ Σ`). Each FD is
+    /// decided on the projection of `tuples_D(T)` onto its own `S₁ ∪ S₂`
+    /// (see [`XmlFd::satisfied_by`]); FDs reading the same paths share one
+    /// projection. Projections stay linear where the full relation is a
+    /// product of unrelated sibling `*`-branches.
     pub fn satisfied_by(&self, tree: &XmlTree, dtd: &Dtd, paths: &PathSet) -> Result<bool> {
-        let resolved = self.resolve(paths)?;
-        let tuples = tuples_d(tree, dtd, paths)?;
-        Ok(resolved.iter().all(|fd| fd.check_tuples(&tuples)))
+        let mut by_paths: BTreeMap<Vec<PathId>, Vec<ResolvedFd>> = BTreeMap::new();
+        for fd in self.resolve(paths)? {
+            by_paths.entry(fd.read_paths()).or_default().push(fd);
+        }
+        if by_paths.is_empty() {
+            // T ⊨ ∅ still asks T to be compatible with D.
+            tuples_projected(tree, dtd, paths, &[])?;
+        }
+        for (keep, fds) in &by_paths {
+            let tuples = tuples_projected(tree, dtd, paths, keep)?;
+            if !fds.iter().all(|fd| fd.check_tuples(&tuples)) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 }
 

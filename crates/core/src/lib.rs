@@ -71,7 +71,9 @@ pub use crate::shred::{
     compile_schema, shred_document, unshred_document, ShredSchema, FD_ENUMERATION_WIDTH,
 };
 pub use crate::tuple::TreeTuple;
-pub use crate::tuples::{trees_d, tuples_d, tuples_d_recursive, tuples_relation};
+pub use crate::tuples::{
+    trees_d, tuples_d, tuples_d_recursive, tuples_enumerated, tuples_projected, tuples_relation,
+};
 pub use crate::xnf::{
     anomalous_fds, anomalous_fds_governed, anomalous_fds_sharded, anomalous_fds_threaded, is_xnf,
     is_xnf_governed,

@@ -13,9 +13,9 @@
 //! the node ids are exactly what `Q₂` discards).
 
 use crate::normalize::{NormalizeResult, Step};
-use crate::tuples::tuples_d;
+use crate::tuples::tuples_projected;
 use crate::{CoreError, Result};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use xnf_dtd::{Dtd, Path, Step as PathStep};
 use xnf_xml::{NodeContent, NodeId, XmlTree};
 
@@ -78,7 +78,8 @@ fn rebuild(
 }
 
 /// The co-occurrence table of two paths: for each non-null pair
-/// `(t.a, t.b)` over `tuples_D(T)`, the pairs of values.
+/// `(t.a, t.b)` over `tuples_D(T)`, the pairs of values — read off the
+/// projection onto `{a, b}`.
 fn co_occurrences(
     tree: &XmlTree,
     dtd: &Dtd,
@@ -92,7 +93,7 @@ fn co_occurrences(
     let pb = paths
         .resolve(b)
         .ok_or_else(|| xnf_dtd::DtdError::NoSuchPath(b.to_string()))?;
-    let tuples = tuples_d(tree, dtd, &paths)?;
+    let tuples = tuples_projected(tree, dtd, &paths, &[pa, pb])?;
     let mut out = Vec::new();
     for t in &tuples {
         let va = t.get(pa);
@@ -116,7 +117,7 @@ pub fn apply_step(dtd_before: &Dtd, tree: &XmlTree, step: &Step) -> Result<XmlTr
                 unreachable!("FoldText records an element path");
             };
             let mut extra: HashMap<NodeId, Vec<(String, String)>> = HashMap::new();
-            let mut drop_nodes: Vec<NodeId> = Vec::new();
+            let mut drop_nodes: HashSet<NodeId> = HashSet::new();
             for v in nodes_at(tree, &parent_path) {
                 let kids = tree.children_labelled(v, folded_label);
                 let Some(&child) = kids.first() else {
@@ -198,7 +199,8 @@ pub fn apply_step(dtd_before: &Dtd, tree: &XmlTree, step: &Step) -> Result<XmlTr
             tau_children,
         } => {
             // Gather, per q-node, the projection of tuples_D(T) onto
-            // (p₁.@l₁, …, pₙ.@lₙ, p.@l).
+            // (p₁.@l₁, …, pₙ.@lₙ, p.@l) — enumerated as exactly that
+            // projection (plus q), never the product with other branches.
             let paths = dtd_before.paths()?;
             let resolve = |p: &Path| {
                 paths
@@ -211,9 +213,12 @@ pub fn apply_step(dtd_before: &Dtd, tree: &XmlTree, step: &Step) -> Result<XmlTr
                 .map(resolve)
                 .collect::<std::result::Result<_, _>>()?;
             let value_id = resolve(value_attr)?;
-            let tuples = tuples_d(tree, dtd_before, &paths)?;
-            // rows[q_vert] = set of (lhs values, value).
-            let mut rows: HashMap<u64, Vec<(Vec<String>, String)>> = HashMap::new();
+            let mut keep = lhs_ids.clone();
+            keep.extend([q_id, value_id]);
+            let tuples = tuples_projected(tree, dtd_before, &paths, &keep)?;
+            // rows[q_vert] = set of (lhs values, value), ordered by value
+            // then key — the order the τ children are emitted in.
+            let mut rows: HashMap<u64, BTreeSet<(Vec<String>, String)>> = HashMap::new();
             for t in &tuples {
                 let xnf_relational::Value::Vert(qv) = t.get(q_id) else {
                     continue;
@@ -235,11 +240,9 @@ pub fn apply_step(dtd_before: &Dtd, tree: &XmlTree, step: &Step) -> Result<XmlTr
                 if !complete {
                     continue;
                 }
-                let entry = rows.entry(*qv).or_default();
-                let row = (lhs_vals, value.to_string());
-                if !entry.contains(&row) {
-                    entry.push(row);
-                }
+                rows.entry(*qv)
+                    .or_default()
+                    .insert((lhs_vals, value.to_string()));
             }
             // Drop @l from p-nodes; then rebuild and append τ subtrees
             // under each q-node.
@@ -275,20 +278,11 @@ pub fn apply_step(dtd_before: &Dtd, tree: &XmlTree, step: &Step) -> Result<XmlTr
                 if lhs_attrs.len() == 1 {
                     // Group by value (the paper's info/number layout: all
                     // the @l₁ keys sharing one value live under one τ).
-                    let mut by_value: Vec<(String, Vec<String>)> = Vec::new();
+                    let mut by_value: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
                     for (lhs_vals, value) in entries {
-                        match by_value.iter_mut().find(|(v, _)| v == value) {
-                            Some((_, keys)) => {
-                                if !keys.contains(&lhs_vals[0]) {
-                                    keys.push(lhs_vals[0].clone());
-                                }
-                            }
-                            None => by_value.push((value.clone(), vec![lhs_vals[0].clone()])),
-                        }
+                        by_value.entry(value).or_default().insert(&lhs_vals[0]);
                     }
-                    by_value.sort();
-                    for (value, mut keys) in by_value {
-                        keys.sort();
+                    for (value, keys) in by_value {
                         let tau_node = out.add_child(*dst, tau.as_str());
                         out.set_attr(tau_node, value_name.clone(), value);
                         for key in keys {
@@ -300,13 +294,11 @@ pub fn apply_step(dtd_before: &Dtd, tree: &XmlTree, step: &Step) -> Result<XmlTr
                     // n ≠ 1: one τ node per distinct LHS combination (the
                     // safe grouping for composite determinants — see
                     // DESIGN.md).
-                    let mut sorted = entries.clone();
-                    sorted.sort();
-                    for (lhs_vals, value) in sorted {
+                    for (lhs_vals, value) in entries {
                         let tau_node = out.add_child(*dst, tau.as_str());
-                        out.set_attr(tau_node, value_name.clone(), value);
+                        out.set_attr(tau_node, value_name.clone(), value.as_str());
                         for ((child_name, attr_name), v) in
-                            tau_children.iter().zip(&attr_names).zip(&lhs_vals)
+                            tau_children.iter().zip(&attr_names).zip(lhs_vals)
                         {
                             let child = out.add_child(tau_node, child_name.as_str());
                             out.set_attr(child, attr_name.as_str(), v.as_str());
@@ -454,7 +446,9 @@ pub fn undo_step(dtd_after: &Dtd, tree: &XmlTree, step: &Step) -> Result<XmlTree
                 .iter()
                 .map(resolve)
                 .collect::<std::result::Result<_, _>>()?;
-            let tuples = tuples_d(tree, dtd_after, &paths)?;
+            let mut keep = lhs_ids.clone();
+            keep.extend([q_id, p_id]);
+            let tuples = tuples_projected(tree, dtd_after, &paths, &keep)?;
             let mut restored: HashMap<u64, String> = HashMap::new();
             for t in &tuples {
                 let (xnf_relational::Value::Vert(qv), xnf_relational::Value::Vert(pv)) =
@@ -544,12 +538,14 @@ impl LosslessReport {
 
 /// Checks losslessness of a whole normalization run on a concrete
 /// document: `T ⊨ (D₁, Σ₁)` must map to some `T' ⊨ (D₂, Σ₂)` from which
-/// `T` is reconstructible (Proposition 8).
+/// `T` is reconstructible (Proposition 8). Returns the report together
+/// with the `T'` it checked (what [`transform_document`] computes), so a
+/// caller can render the verified document without transforming twice.
 pub fn verify_lossless(
     dtd0: &Dtd,
     result: &NormalizeResult,
     tree: &XmlTree,
-) -> Result<LosslessReport> {
+) -> Result<(LosslessReport, XmlTree)> {
     let transformed = transform_document(dtd0, result, tree)?;
     let conforms = xnf_xml::conforms(&transformed, &result.dtd).is_ok();
     let paths = result.dtd.paths()?;
@@ -558,11 +554,12 @@ pub fn verify_lossless(
         .satisfied_by(&transformed, &result.dtd, &paths)?;
     let restored = restore_document(result, &transformed)?;
     let round_trip = xnf_xml::unordered_eq(&restored, tree);
-    Ok(LosslessReport {
+    let report = LosslessReport {
         conforms,
         satisfies_sigma,
         round_trip,
-    })
+    };
+    Ok((report, transformed))
 }
 
 /// The outcome of one [`Step`] of a traced losslessness check
@@ -674,7 +671,7 @@ mod tests {
         let dtd = dblp_dtd();
         let sigma = XmlFdSet::parse(DBLP_FDS).unwrap();
         let result = normalize(&dtd, &sigma, &NormalizeOptions::default()).unwrap();
-        let report = verify_lossless(&dtd, &result, &dblp_doc()).unwrap();
+        let (report, _) = verify_lossless(&dtd, &result, &dblp_doc()).unwrap();
         assert!(report.ok(), "{report:?}");
     }
 
@@ -728,8 +725,13 @@ mod tests {
         let dtd = university_dtd();
         let sigma = XmlFdSet::parse(UNIVERSITY_FDS).unwrap();
         let result = normalize(&dtd, &sigma, &NormalizeOptions::default()).unwrap();
-        let report = verify_lossless(&dtd, &result, &figure_1a()).unwrap();
+        let (report, transformed) = verify_lossless(&dtd, &result, &figure_1a()).unwrap();
         assert!(report.ok(), "{report:?}");
+        // The checked document is the one `transform_document` renders.
+        assert_eq!(
+            xnf_xml::to_string_pretty(&transformed),
+            xnf_xml::to_string_pretty(&transform_document(&dtd, &result, &figure_1a()).unwrap())
+        );
     }
 
     #[test]
@@ -797,7 +799,7 @@ mod tests {
         let doc = xnf_xml::parse(&xml).unwrap();
         let ps = dtd.paths().unwrap();
         assert!(sigma.satisfied_by(&doc, &dtd, &ps).unwrap());
-        let report = verify_lossless(&dtd, &result, &doc).unwrap();
+        let (report, _) = verify_lossless(&dtd, &result, &doc).unwrap();
         assert!(report.ok(), "{report:?}");
     }
 }

@@ -63,7 +63,10 @@ impl XmlMvd {
     }
 
     /// Whether `T` satisfies this MVD (swap semantics over
-    /// `tuples_D(T)`).
+    /// `tuples_D(T)`). Unlike FD satisfaction this still enumerates the
+    /// full relation, not a projection. The swap condition reads only
+    /// `S₁ ∪ S₂ ∪ S₃`, so the projection onto those paths would decide it
+    /// exactly too, but the check is not switched over yet.
     pub fn satisfied_by(&self, tree: &XmlTree, dtd: &Dtd, paths: &PathSet) -> Result<bool> {
         let lhs = Self::resolve_side(&self.lhs, paths)?;
         let dep = Self::resolve_side(&self.dep, paths)?;

@@ -1,4 +1,5 @@
-//! `tuples_D(T)` (Definition 6) and `trees_D(X)` (Definition 7).
+//! `tuples_D(T)` (Definition 6), its projections, and `trees_D(X)`
+//! (Definition 7).
 //!
 //! `tuples_D(T)` is the set of maximal tree tuples whose tree
 //! representation is subsumed by `T`. Operationally: walk `T` guided by
@@ -8,25 +9,78 @@
 //! exponential in the document depth-width profile — the paper's
 //! relational representation, not a storage format).
 //!
+//! FD satisfaction (Section 4) and the Section 6 losslessness queries
+//! read only a few columns of that relation, so they enumerate
+//! [`tuples_projected`] instead: the same walk, descending only into the
+//! paths a query keeps and their ancestors. That is exact, not an
+//! approximation: every skipped branch is one more factor of the product,
+//! and each factor has at least one alternative (one of its candidate
+//! children, or `⊥` when there are none), so the set of projections onto
+//! the kept paths is the same as for the full `tuples_D(T)`. What it
+//! removes is the product with the *unread* sibling `*`-branches — after
+//! the Figure-4 decomposition, `course*` × `info*` under the root.
+//!
 //! `trees_D(X)` merges a `D`-compatible set of tuples back into the
 //! (unique up to `≡`) minimal tree containing them all; Theorem 1 states
 //! `trees_D(tuples_D(T)) = [T]`.
 
 use crate::tuple::TreeTuple;
 use crate::{CoreError, Result};
+use std::cell::Cell;
 use std::collections::HashMap;
 use xnf_dtd::{Dtd, PathId, PathSet, Step};
 use xnf_relational::{Relation, Value};
 use xnf_xml::{NodeId, XmlTree};
 
+thread_local! {
+    static ENUMERATED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many tuples [`tuples_d`] and [`tuples_projected`] have enumerated
+/// on the calling thread so far (before deduplication). A deterministic
+/// work counter: the difference across a call is the size of the
+/// relations that call materialised.
+pub fn tuples_enumerated() -> u64 {
+    ENUMERATED.with(Cell::get)
+}
+
 /// Computes `tuples_D(T)` for a tree compatible with `dtd`.
 ///
 /// Fails with [`CoreError::NotCompatible`] when `paths(T) ⊄ paths(D)`.
 pub fn tuples_d(tree: &XmlTree, dtd: &Dtd, paths: &PathSet) -> Result<Vec<TreeTuple>> {
+    let all: Vec<PathId> = paths.iter().collect();
+    tuples_projected(tree, dtd, paths, &all)
+}
+
+/// The tuples of `tuples_D(T)` with every path that is neither in `keep`
+/// nor an ancestor of a kept path left `⊥`.
+///
+/// Restricted to `keep`, the result is exactly `tuples_D(T)` restricted
+/// to `keep`, as a set (see the module docs); its size is the product of
+/// the choices on the kept branches only. Fails with
+/// [`CoreError::NotCompatible`] when `paths(T) ⊄ paths(D)`.
+pub fn tuples_projected(
+    tree: &XmlTree,
+    dtd: &Dtd,
+    paths: &PathSet,
+    keep: &[PathId],
+) -> Result<Vec<TreeTuple>> {
     if !xnf_xml::compatible(tree, dtd) {
         return Err(CoreError::NotCompatible);
     }
-    let assignments = expand(tree, paths, paths.root(), tree.root());
+    // Descend into the kept paths and every ancestor of one.
+    let mut wanted = vec![false; paths.len()];
+    for &p in keep {
+        let mut cur = Some(p);
+        while let Some(q) = cur {
+            if std::mem::replace(&mut wanted[q.index()], true) {
+                break; // its ancestors are marked already
+            }
+            cur = paths.parent(q);
+        }
+    }
+    let assignments = expand(tree, paths, &wanted, paths.root(), tree.root());
+    ENUMERATED.with(|n| n.set(n.get() + assignments.len() as u64));
     let mut out = Vec::with_capacity(assignments.len());
     for a in assignments {
         let mut t = TreeTuple::empty(paths.len());
@@ -37,18 +91,28 @@ pub fn tuples_d(tree: &XmlTree, dtd: &Dtd, paths: &PathSet) -> Result<Vec<TreeTu
         out.push(t);
     }
     // The product construction yields pairwise ⊑-incomparable tuples, so
-    // no maximality filtering is needed; keep the set deduplicated and
-    // deterministic.
+    // no maximality filtering is needed (and keeping every path gives
+    // exactly `tuples_D(T)`); keep the set deduplicated and deterministic.
     out.sort();
     out.dedup();
     Ok(out)
 }
 
-/// All ways to extend a tuple below path `p`, whose value is node `v`.
-/// Each alternative is a list of `(path, value)` bindings.
-fn expand(tree: &XmlTree, paths: &PathSet, p: PathId, v: NodeId) -> Vec<Vec<(PathId, Value)>> {
+/// All ways to extend a tuple below path `p`, whose value is node `v`,
+/// over the `wanted` paths. Each alternative is a list of
+/// `(path, value)` bindings.
+fn expand(
+    tree: &XmlTree,
+    paths: &PathSet,
+    wanted: &[bool],
+    p: PathId,
+    v: NodeId,
+) -> Vec<Vec<(PathId, Value)>> {
     let mut alts: Vec<Vec<(PathId, Value)>> = vec![vec![(p, Value::Vert(v.index() as u64))]];
     for &cp in paths.children_of(p) {
+        if !wanted[cp.index()] {
+            continue;
+        }
         match paths.step(cp) {
             Step::Attr(name) => {
                 if let Some(val) = tree.attr(v, name) {
@@ -74,7 +138,7 @@ fn expand(tree: &XmlTree, paths: &PathSet, p: PathId, v: NodeId) -> Vec<Vec<(Pat
                 // alternatives accumulated so far).
                 let mut sub: Vec<Vec<(PathId, Value)>> = Vec::new();
                 for w in candidates {
-                    sub.extend(expand(tree, paths, cp, w));
+                    sub.extend(expand(tree, paths, wanted, cp, w));
                 }
                 let mut next = Vec::with_capacity(alts.len() * sub.len());
                 for a in &alts {

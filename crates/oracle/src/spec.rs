@@ -271,9 +271,9 @@ enum DocVerdict {
 }
 
 fn check_document(dtd: &Dtd, result: &NormalizeResult, doc: &xnf_xml::XmlTree) -> DocVerdict {
-    match verify_lossless(dtd, result, doc) {
-        Ok(report) if report.ok() => {}
-        Ok(report) => {
+    let transformed = match verify_lossless(dtd, result, doc) {
+        Ok((report, transformed)) if report.ok() => transformed,
+        Ok((report, _)) => {
             // Localize the first offending step for the failure report.
             let trace = match verify_lossless_trace(dtd, result, doc) {
                 Ok(trace) => trace
@@ -287,12 +287,10 @@ fn check_document(dtd: &Dtd, result: &NormalizeResult, doc: &xnf_xml::XmlTree) -
         }
         Err(CoreError::UnrepresentableNull { .. }) => return DocVerdict::Skip,
         Err(e) => return DocVerdict::Fail(format!("transformation error: {e}")),
-    }
-    // Independent projection check: transform + restore without consulting
-    // tuples_D, compare the document-side value projections.
-    let round_trip = xnf_core::transform_document(dtd, result, doc)
-        .and_then(|t| xnf_core::restore_document(result, &t));
-    match round_trip {
+    };
+    // Independent projection check: restore the verified transform and
+    // compare the document-side value projections.
+    match xnf_core::restore_document(result, &transformed) {
         Ok(restored) => {
             if value_projection(&restored) == value_projection(doc) {
                 DocVerdict::Pass

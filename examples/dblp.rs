@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example dblp`
 
-use xnf::core::lossless::{transform_document, verify_lossless};
+use xnf::core::lossless::verify_lossless;
 use xnf::core::{anomalous_fds, is_xnf, normalize, NormalizeOptions, Step, XmlFdSet};
 
 fn main() {
@@ -85,12 +85,11 @@ fn main() {
     let paths = dtd.paths().expect("non-recursive");
     assert!(sigma.satisfied_by(&doc, &dtd, &paths).expect("resolves"));
 
-    let transformed = transform_document(&dtd, &result, &doc).expect("transform succeeds");
+    let (report, transformed) = verify_lossless(&dtd, &result, &doc).expect("verification runs");
     println!(
         "transformed document:\n{}",
         xnf::xml::to_string_pretty(&transformed)
     );
-    let report = verify_lossless(&dtd, &result, &doc).expect("verification runs");
     assert!(report.ok(), "{report:?}");
     println!("losslessness verified (year stored once per issue, reconstructible per paper)");
 }

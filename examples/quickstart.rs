@@ -101,7 +101,7 @@ fn main() {
         "transformed document:\n{}",
         xnf::xml::to_string_pretty(&transformed)
     );
-    let report = verify_lossless(&dtd, &pre_rename, &doc).expect("verification runs");
+    let (report, _) = verify_lossless(&dtd, &pre_rename, &doc).expect("verification runs");
     assert!(report.ok(), "losslessness verified: {report:?}");
     println!("losslessness verified: conforms + satisfies Σ' + round-trips");
 

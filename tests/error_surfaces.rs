@@ -145,7 +145,7 @@ fn scale_smoke_full_pipeline() {
     assert!(sigma.satisfied_by(&doc, &dtd, &paths).unwrap());
     let result =
         xnf::core::normalize(&dtd, &sigma, &xnf::core::NormalizeOptions::default()).unwrap();
-    let report = xnf::core::lossless::verify_lossless(&dtd, &result, &doc).unwrap();
+    let (report, _) = xnf::core::lossless::verify_lossless(&dtd, &result, &doc).unwrap();
     assert!(report.ok());
     // 60 courses × 5 students = 300 tuples.
     assert_eq!(xnf::core::tuples_d(&doc, &dtd, &paths).unwrap().len(), 300);

@@ -3,9 +3,22 @@
 //! pairwise check on the Codd-table view
 //! (`Relation::satisfies_fd` over `tuples_relation`). The two share no
 //! code path beyond `tuples_D` itself.
+//!
+//! It also checks the projected enumeration every satisfaction and
+//! losslessness query runs on: `tuples_projected(keep)` restricted to
+//! `keep` is `tuples_D(T)` restricted to `keep`, as a set, and its size
+//! stays linear where the full relation is a product.
 
 use proptest::prelude::*;
-use xnf::core::{tuples_d, tuples_relation};
+use rand::Rng;
+use std::collections::BTreeSet;
+use xnf::core::lossless::{transform_document, undo_step};
+use xnf::core::{
+    normalize, tuples_d, tuples_d_recursive, tuples_enumerated, tuples_projected, tuples_relation,
+    NormalizeOptions, Step, XmlFdSet,
+};
+use xnf::dtd::{Dtd, PathId, PathSet};
+use xnf::xml::{NodeId, XmlTree};
 use xnf_gen::doc::{random_document, DocParams};
 use xnf_gen::dtd::{simple_dtd, SimpleDtdParams};
 use xnf_gen::fd::{random_fds, FdParams};
@@ -72,4 +85,248 @@ proptest! {
             );
         }
     }
+}
+
+/// A tuple set restricted to `keep`, as a set of value rows.
+fn restrict(
+    tuples: &[xnf::core::TreeTuple],
+    keep: &[PathId],
+) -> BTreeSet<Vec<xnf::relational::Value>> {
+    tuples
+        .iter()
+        .map(|t| keep.iter().map(|&p| t.get(p).clone()).collect())
+        .collect()
+}
+
+/// A random subset of the paths, each kept with probability 1/3.
+fn random_keep(paths: &PathSet, rng: &mut impl Rng) -> Vec<PathId> {
+    paths.iter().filter(|_| rng.random_ratio(1, 3)).collect()
+}
+
+/// Asserts the projection identity on `doc` for a few random `keep` sets
+/// plus every single path.
+fn assert_projection_exact(doc: &XmlTree, dtd: &Dtd, paths: &PathSet, rng: &mut impl Rng) {
+    let full = tuples_d(doc, dtd, paths).unwrap();
+    let mut keeps: Vec<Vec<PathId>> = paths.iter().map(|p| vec![p]).collect();
+    keeps.push(Vec::new());
+    keeps.extend((0..8).map(|_| random_keep(paths, rng)));
+    for keep in keeps {
+        let projected = tuples_projected(doc, dtd, paths, &keep).unwrap();
+        assert!(projected.len() <= full.len());
+        assert_eq!(
+            restrict(&projected, &keep),
+            restrict(&full, &keep),
+            "keep {:?}",
+            keep.iter().map(|&p| paths.format(p)).collect::<Vec<_>>()
+        );
+    }
+}
+
+/// `T ⊨ Σ` as the conjunction of `check_tuples` over the full `tuples_D(T)`.
+fn satisfied_on_full_relation(sigma: &XmlFdSet, doc: &XmlTree, dtd: &Dtd, paths: &PathSet) -> bool {
+    let full = tuples_d(doc, dtd, paths).unwrap();
+    sigma
+        .resolve(paths)
+        .unwrap()
+        .iter()
+        .all(|fd| fd.check_tuples(&full))
+}
+
+/// The paper's three specs with their example documents.
+fn paper_fixtures() -> Vec<(Dtd, XmlFdSet, XmlTree)> {
+    [
+        (
+            include_str!("../examples/specs/university.dtd"),
+            include_str!("../examples/specs/university.fds"),
+            include_str!("../examples/docs/university.xml"),
+        ),
+        (
+            include_str!("../examples/specs/dblp.dtd"),
+            include_str!("../examples/specs/dblp.fds"),
+            include_str!("../examples/docs/dblp.xml"),
+        ),
+        (
+            include_str!("../examples/specs/ebxml.dtd"),
+            include_str!("../examples/specs/ebxml.fds"),
+            include_str!("../examples/docs/ebxml.xml"),
+        ),
+    ]
+    .into_iter()
+    .map(|(dtd, fds, xml)| {
+        (
+            xnf::dtd::parse_dtd(dtd).unwrap(),
+            XmlFdSet::parse(fds).unwrap(),
+            xnf::xml::parse(xml).unwrap(),
+        )
+    })
+    .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On generated documents (absent `*` children give `⊥` columns), the
+    /// projection onto any `keep` equals `tuples_D(T)` restricted to it,
+    /// and `T ⊨ Σ` decided on projections equals the check on the full
+    /// relation.
+    #[test]
+    fn projection_equals_restricted_full_relation(seed in 0u64..100_000) {
+        let mut rng = xnf_gen::rng(seed);
+        let dtd = simple_dtd(
+            &mut rng,
+            &SimpleDtdParams { elements: 6, max_children: 3, max_attrs: 2, text_leaf_prob: 0.5 },
+        );
+        let doc = random_document(
+            &dtd,
+            &mut rng,
+            &DocParams { reps: (0, 2), value_alphabet: 2, max_nodes: 150 },
+        );
+        prop_assume!(doc.num_nodes() < 150);
+        let paths = dtd.paths().unwrap();
+        prop_assume!(tuples_d(&doc, &dtd, &paths).unwrap().len() <= 256);
+        assert_projection_exact(&doc, &dtd, &paths, &mut rng);
+        let sigma = random_fds(&dtd, &mut rng, &FdParams { count: 6, max_lhs: 2 });
+        prop_assert_eq!(
+            sigma.satisfied_by(&doc, &dtd, &paths).unwrap(),
+            satisfied_on_full_relation(&sigma, &doc, &dtd, &paths),
+            "seed {seed}"
+        );
+    }
+
+    /// The bounded window of a recursive DTD (`tuples_d_recursive`).
+    #[test]
+    fn projection_is_exact_on_a_recursive_window(seed in 0u64..100_000) {
+        let mut rng = xnf_gen::rng(seed);
+        let dtd = xnf::dtd::parse_dtd(
+            "<!ELEMENT r (part*)>
+             <!ELEMENT part (part*)>
+             <!ATTLIST part id CDATA #IMPLIED owner CDATA #IMPLIED>",
+        )
+        .unwrap();
+        let mut doc = XmlTree::new("r");
+        let root = doc.root();
+        grow_parts(&mut doc, root, 3, &mut rng);
+        let (paths, full) = tuples_d_recursive(&doc, &dtd).unwrap();
+        prop_assume!(full.len() <= 256);
+        assert_projection_exact(&doc, &dtd, &paths, &mut rng);
+    }
+}
+
+/// Up to two `part` children per node, `depth` levels down, each with an
+/// `@id`/`@owner` that is sometimes absent.
+fn grow_parts(doc: &mut XmlTree, at: NodeId, depth: usize, rng: &mut impl Rng) {
+    if depth == 0 {
+        return;
+    }
+    for _ in 0..rng.random_range(0..3usize) {
+        let part = doc.add_child(at, "part");
+        for attr in ["id", "owner"] {
+            if rng.random_ratio(3, 4) {
+                doc.set_attr(part, attr, format!("v{}", rng.random_range(0..3usize)));
+            }
+        }
+        grow_parts(doc, part, depth - 1, rng);
+    }
+}
+
+#[test]
+fn projection_is_exact_on_the_paper_documents() {
+    let mut rng = xnf_gen::rng(7);
+    for (dtd, sigma, doc) in paper_fixtures() {
+        let paths = dtd.paths().unwrap();
+        assert_projection_exact(&doc, &dtd, &paths, &mut rng);
+        assert!(sigma.satisfied_by(&doc, &dtd, &paths).unwrap());
+        assert!(satisfied_on_full_relation(&sigma, &doc, &dtd, &paths));
+    }
+}
+
+#[test]
+fn planted_violations_are_found_on_projections() {
+    // Give one student of the university document a second name: FD3
+    // (`@sno -> name.S`) fails. Then clone a course number: FD1 fails.
+    let (dtd, sigma, doc) = paper_fixtures().swap_remove(0);
+    let paths = dtd.paths().unwrap();
+    let snos: Vec<NodeId> = doc
+        .node_ids()
+        .filter(|&v| doc.label(v) == "student")
+        .collect();
+    let mut bad_name = doc.clone();
+    let sno = doc.attr(snos[0], "sno").unwrap().to_string();
+    let other = snos[1];
+    bad_name.set_attr(other, "sno", sno);
+    let name = bad_name.children_labelled(other, "name")[0];
+    bad_name.set_text(name, "a different name");
+    let mut bad_course = doc.clone();
+    let courses = bad_course.children_labelled(bad_course.root(), "course");
+    let cno = bad_course.attr(courses[0], "cno").unwrap().to_string();
+    bad_course.set_attr(courses[1], "cno", cno);
+    for bad in [bad_name, bad_course] {
+        assert!(!satisfied_on_full_relation(&sigma, &bad, &dtd, &paths));
+        assert!(!sigma.satisfied_by(&bad, &dtd, &paths).unwrap());
+        let per_fd: Vec<bool> = sigma
+            .iter()
+            .map(|fd| fd.satisfied_by(&bad, &dtd, &paths).unwrap())
+            .collect();
+        let full = tuples_d(&bad, &dtd, &paths).unwrap();
+        let on_full: Vec<bool> = sigma
+            .iter()
+            .map(|fd| fd.resolve(&paths).unwrap().check_tuples(&full))
+            .collect();
+        assert_eq!(per_fd, on_full);
+    }
+}
+
+#[test]
+fn projection_sizes_stay_linear_on_the_decomposed_university_document() {
+    // After the Figure-4 decomposition, `course*` and `info*` sit side by
+    // side under the root, so the full tuples_D of the transformed
+    // document is |students| × |info|. Undoing the create-element step
+    // and checking Σ' must enumerate only the branches they read.
+    let (dtd, sigma, _) = paper_fixtures().swap_remove(0);
+    let result = normalize(&dtd, &sigma, &NormalizeOptions::default()).unwrap();
+    let doc = xnf_gen::doc::university_document(32, 10, 320, 320);
+    let transformed = transform_document(&dtd, &result, &doc).unwrap();
+    let count = |label: &str| {
+        transformed
+            .node_ids()
+            .filter(|&v| transformed.label(v) == label)
+            .count() as u64
+    };
+    let (students, infos) = (count("student"), count("info"));
+    assert_eq!((students, infos), (320, 227));
+    let paths = result.dtd.paths().unwrap();
+    assert_eq!(
+        tuples_d(&transformed, &result.dtd, &paths).unwrap().len() as u64,
+        students * infos,
+        "the full relation is the product"
+    );
+
+    let before = tuples_enumerated();
+    assert!(result
+        .sigma
+        .satisfied_by(&transformed, &result.dtd, &paths)
+        .unwrap());
+    let check = tuples_enumerated() - before;
+
+    let (index, step) = result
+        .steps
+        .iter()
+        .enumerate()
+        .rfind(|(_, s)| matches!(s, Step::CreateElement { .. }))
+        .unwrap();
+    assert_eq!(
+        index + 1,
+        result.steps.len(),
+        "create-element is the last step"
+    );
+    let before = tuples_enumerated();
+    undo_step(&result.dtd, &transformed, step).unwrap();
+    let undo = tuples_enumerated() - before;
+
+    // One projection per FD path set: 32 courses, 320 students and
+    // 3 × 227 info tuples for Σ'; one tuple per student for the undo.
+    assert_eq!((check, undo), (1033, 320));
+    let bound = result.sigma.len() as u64 * (students + infos);
+    assert!(check <= bound && bound < students * infos);
+    assert!(undo <= students);
 }

@@ -91,7 +91,7 @@ proptest! {
                 continue;
             }
             match verify_lossless(&dtd, &result, &doc) {
-                Ok(report) => {
+                Ok((report, _)) => {
                     prop_assert!(report.ok(), "seed {seed}/{doc_seed}: {report:?}");
                     checked += 1;
                 }

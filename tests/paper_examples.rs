@@ -65,7 +65,7 @@ fn e1_university_full_pipeline() {
 
     // Documents transform losslessly; the info grouping matches
     // Figure 1(b) (Deere: {st1}; Smith: {st2, st3}).
-    let report = verify_lossless(&dtd, &result, &doc).unwrap();
+    let (report, _) = verify_lossless(&dtd, &result, &doc).unwrap();
     assert!(report.ok());
     let transformed = transform_document(&dtd, &result, &doc).unwrap();
     let infos = transformed.children_labelled(transformed.root(), "info");
@@ -126,7 +126,7 @@ fn e6_dblp_full_pipeline() {
     // Losslessness on a scaled synthetic DBLP corpus.
     for (confs, issues, papers) in [(1, 1, 1), (2, 3, 4), (5, 2, 6)] {
         let doc = xnf_gen::doc::dblp_document(confs, issues, papers);
-        let report = verify_lossless(&dtd, &result, &doc).unwrap();
+        let (report, _) = verify_lossless(&dtd, &result, &doc).unwrap();
         assert!(report.ok(), "confs={confs} issues={issues} papers={papers}");
     }
 }
@@ -140,7 +140,7 @@ fn e1_university_scaled_losslessness() {
     for (courses, students, pool, names) in [(1, 1, 1, 1), (4, 3, 6, 2), (8, 5, 10, 4)] {
         let doc = xnf_gen::doc::university_document(courses, students, pool, names);
         assert!(sigma.satisfied_by(&doc, &dtd, &paths).unwrap());
-        let report = verify_lossless(&dtd, &result, &doc).unwrap();
+        let (report, _) = verify_lossless(&dtd, &result, &doc).unwrap();
         assert!(
             report.ok(),
             "{courses}/{students}/{pool}/{names}: {report:?}"
@@ -160,6 +160,6 @@ fn sigma_only_variant_is_lossless_too() {
     let result = normalize(&dtd, &sigma, &opts).unwrap();
     assert!(is_xnf(&result.dtd, &result.sigma).unwrap());
     let doc = xnf::xml::parse(FIGURE_1A).unwrap();
-    let report = verify_lossless(&dtd, &result, &doc).unwrap();
+    let (report, _) = verify_lossless(&dtd, &result, &doc).unwrap();
     assert!(report.ok(), "{report:?}");
 }
