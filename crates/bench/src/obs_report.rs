@@ -15,7 +15,7 @@
 //! ```
 
 use std::fmt::Write as _;
-use xnf_obs::CounterSnapshot;
+use xnf_obs::{escape_json, CounterSnapshot};
 
 /// One experiment run: its id, wall time, and the counter totals the
 /// run's recorder accumulated (empty for experiments that do not drive
@@ -47,48 +47,29 @@ pub fn git_sha() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the `BENCH_obs.json` document for one `reproduce` run.
 pub fn render(git_sha: &str, records: &[ExperimentRecord]) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"git_sha\":\"{}\",\"experiments\":[",
-        escape(git_sha)
-    );
+    let mut out = String::from("{\"git_sha\":\"");
+    escape_json(&mut out, git_sha);
+    out.push_str("\",\"experiments\":[");
     for (i, r) in records.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
+        out.push_str("\n{\"id\":\"");
+        escape_json(&mut out, &r.id);
         let _ = write!(
             out,
-            "\n{{\"id\":\"{}\",\"wall_micros\":{},\"spans_dropped\":{},\"counters\":{{",
-            escape(&r.id),
-            r.wall_micros,
-            r.spans_dropped
+            "\",\"wall_micros\":{},\"spans_dropped\":{},\"counters\":{{",
+            r.wall_micros, r.spans_dropped
         );
         for (j, (name, value)) in r.counters.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", escape(name), value);
+            out.push('"');
+            escape_json(&mut out, name);
+            let _ = write!(out, "\":{value}");
         }
         out.push_str("}}");
     }

@@ -731,7 +731,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let dtd = parse_governed_dtd(&dtd_src, &budget)?;
             let sigma = XmlFdSet::parse(&fds_src)?;
             drop(parse_span);
-            let tree = load_xml(xml_path)?;
+            let tree = ops::parse_xml(&read(xml_path)?, ops::Trust::Local, &budget)?;
             // The whole pipeline runs before a single byte is emitted:
             // exhaustion or any failure yields no partial SQL, and the
             // document→rows→document round trip is verified first.

@@ -174,6 +174,10 @@ pub fn normalize_spec(
     }
     let trust = options.trust.unwrap_or(Trust::Local);
     let (dtd, sigma) = parse_spec(dtd_src, fds_src, trust, budget)?;
+    let doc = options
+        .doc_src
+        .map(|src| parse_xml(src, trust, budget))
+        .transpose()?;
     let norm_options = NormalizeOptions {
         use_implication: !options.sigma_only,
         threads: options.threads,
@@ -224,9 +228,8 @@ pub fn normalize_spec(
             s.search_time, s.decide_time, s.guard_time, s.apply_time
         )?;
     }
-    if let Some(doc_src) = options.doc_src {
-        let tree = parse_xml(doc_src, trust, &Budget::unlimited())?;
-        let (report, transformed) = verify_lossless(&dtd, &result, &tree)?;
+    if let Some(tree) = &doc {
+        let (report, transformed) = verify_lossless(&dtd, &result, tree)?;
         writeln!(out, "=== transformed document ===")?;
         out.push_str(&xnf_xml::to_string_pretty(&transformed));
         writeln!(

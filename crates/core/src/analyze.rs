@@ -1080,22 +1080,10 @@ fn join(items: impl Iterator<Item = String>) -> String {
     items.collect::<Vec<_>>().join(", ")
 }
 
-/// Minimal JSON string escaping (the rendered values are DTD/FD/path
-/// text: quotes, backslashes and control characters are the only
-/// hazards).
+/// [`xnf_obs::escape_json`] into a fresh string, for `format!` arguments.
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    xnf_obs::escape_json(&mut out, s);
     out
 }
 

@@ -43,20 +43,19 @@
 pub mod analyze;
 pub mod encode;
 pub mod fd;
-pub mod flight;
 pub mod implication;
 pub mod keys;
 pub mod lossless;
 pub mod mvd;
 pub mod normalize;
 pub mod shred;
+pub mod single_flight;
 pub mod tuple;
 pub mod tuples;
 pub mod xnf;
 
 pub use crate::analyze::{analyze, Analysis, AnalyzeOptions, AnomalyInfo, CostEstimate, FdGraph};
 pub use crate::fd::{XmlFd, XmlFdSet};
-pub use crate::flight::{spec_cache_key, CacheStats, ShardedCache};
 pub use crate::implication::{
     Chase, ChaseConfig, ChaseStats, ChaseStatsSnapshot, CounterexampleSearch, DtdDelta,
     Implication, ImplicationCache, IncrementalCache, InvalidationReport, RunTrace, ShardPlan,
@@ -70,6 +69,7 @@ pub use crate::normalize::{normalize, NormalizeOptions, NormalizeResult, Normali
 pub use crate::shred::{
     compile_schema, shred_document, unshred_document, ShredSchema, FD_ENUMERATION_WIDTH,
 };
+pub use crate::single_flight::{spec_cache_key, CacheStats, ShardedCache};
 pub use crate::tuple::TreeTuple;
 pub use crate::tuples::{
     trees_d, tuples_d, tuples_d_recursive, tuples_enumerated, tuples_projected, tuples_relation,

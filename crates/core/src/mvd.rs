@@ -18,7 +18,7 @@
 //! the fact that unnesting a nested relation yields MVDs.
 
 use crate::tuple::TreeTuple;
-use crate::tuples::tuples_d;
+use crate::tuples::tuples_projected;
 use crate::{CoreError, Result};
 use std::collections::HashSet;
 use xnf_dtd::{Dtd, Path, PathId, PathSet};
@@ -63,15 +63,15 @@ impl XmlMvd {
     }
 
     /// Whether `T` satisfies this MVD (swap semantics over
-    /// `tuples_D(T)`). Unlike FD satisfaction this still enumerates the
-    /// full relation, not a projection. The swap condition reads only
-    /// `S₁ ∪ S₂ ∪ S₃`, so the projection onto those paths would decide it
-    /// exactly too, but the check is not switched over yet.
+    /// `tuples_D(T)`). The swap condition reads only `S₁ ∪ S₂ ∪ S₃`, so
+    /// like FD satisfaction it runs on the projection of `tuples_D(T)`
+    /// onto those paths ([`tuples_projected`]), which decides it exactly.
     pub fn satisfied_by(&self, tree: &XmlTree, dtd: &Dtd, paths: &PathSet) -> Result<bool> {
         let lhs = Self::resolve_side(&self.lhs, paths)?;
         let dep = Self::resolve_side(&self.dep, paths)?;
         let indep = Self::resolve_side(&self.indep, paths)?;
-        let tuples = tuples_d(tree, dtd, paths)?;
+        let keep: Vec<PathId> = lhs.iter().chain(&dep).chain(&indep).copied().collect();
+        let tuples = tuples_projected(tree, dtd, paths, &keep)?;
         Ok(check_mvd(&tuples, &lhs, &dep, &indep))
     }
 }

@@ -9,10 +9,10 @@
 //! exponential in the document depth-width profile — the paper's
 //! relational representation, not a storage format).
 //!
-//! FD satisfaction (Section 4) and the Section 6 losslessness queries
-//! read only a few columns of that relation, so they enumerate
-//! [`tuples_projected`] instead: the same walk, descending only into the
-//! paths a query keeps and their ancestors. That is exact, not an
+//! FD satisfaction (Section 4), MVD satisfaction and the Section 6
+//! losslessness queries read only a few columns of that relation, so they
+//! enumerate [`tuples_projected`] instead: the same walk, descending only
+//! into the paths a query keeps and their ancestors. That is exact, not an
 //! approximation: every skipped branch is one more factor of the product,
 //! and each factor has at least one alternative (one of its candidate
 //! children, or `⊥` when there are none), so the set of projections onto

@@ -186,9 +186,9 @@ fn parikh_box(re: &Regex) -> Option<Box_> {
 /// the full box `∏_{a ∈ alphabet(r)} [0,∞]` iff every unit vector `e_a` is
 /// in it — and a *sum* of non-negative vectors equals `e_a` only when `e_a`
 /// itself is a generator, i.e. the single-letter word `a` belongs to
-/// `L(r)`. That word membership is decided exactly with the NFA, so this
-/// rule is both sound and complete (e.g. it accepts `(a|b|c)*` and
-/// `(a?, b?)*`, and rejects `(a, b)*`).
+/// `L(r)`. That word membership is decided exactly with the Glushkov
+/// automaton, so this rule is both sound and complete (e.g. it accepts
+/// `(a|b|c)*` and `(a?, b?)*`, and rejects `(a, b)*`).
 fn star_box(r: &Regex) -> Option<Box_> {
     let letters = r.alphabet();
     if letters.is_empty() {

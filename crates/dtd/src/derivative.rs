@@ -1,11 +1,11 @@
 //! A second, independent membership engine: Brzozowski derivatives.
 //!
-//! `Matcher` (the Thompson NFA of [`crate::nfa`]) is the engine used by
-//! conformance checking; this module decides the same membership question
-//! by rewriting the expression — `w ∈ L(r)` iff the derivative of `r` by
-//! `w` is nullable. The two implementations share no code, which makes
-//! them ideal differential-testing oracles for each other (see the
-//! property tests here and in `tests/`).
+//! `Matcher` (the Glushkov automaton of [`crate::nfa`]) is the engine used
+//! by conformance checking and the determinism lint; this module decides
+//! the same questions by rewriting the expression — `w ∈ L(r)` iff the
+//! derivative of `r` by `w` is nullable. The two implementations share no
+//! code, so the derivatives serve only as the test oracle for the automaton
+//! (see the property tests here and in `tests/`).
 //!
 //! Derivatives also power [`shortest_word`], used by generators and tests
 //! to produce guaranteed members of a content model's language.

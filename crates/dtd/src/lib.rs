@@ -8,8 +8,9 @@
 //! disjunctive DTDs, and the complexity measure `N_D`).
 //!
 //! The crate is self-contained: it provides its own regular-expression AST
-//! ([`Regex`]), a parser for DTD declaration syntax ([`parse_dtd`]), an NFA
-//! membership engine used for conformance checking ([`nfa::Matcher`]), and a
+//! ([`Regex`]), a parser for DTD declaration syntax ([`parse_dtd`]), the
+//! Glushkov position automaton of a content model ([`nfa::Matcher`]), which
+//! serves both conformance checking and the 1-unambiguity lint, and a
 //! serializer back to DTD syntax.
 //!
 //! ## Example

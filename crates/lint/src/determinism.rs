@@ -7,21 +7,22 @@
 //! lookahead. `(a, b) | (a, c)` is the classic violation — on seeing `a`
 //! the matcher cannot know which branch it is in.
 //!
-//! The primary decision procedure ([`check_deterministic`]) is the classic
-//! Glushkov construction: number the leaf occurrences (positions), compute
-//! `first`/`last`/`follow` sets, and check that no `first` or `follow` set
-//! contains two distinct positions of the same symbol — exactly the
-//! condition for the Glushkov NFA to be deterministic.
+//! The decision procedure ([`check_deterministic`]) is the Glushkov
+//! position automaton that conformance checking also runs
+//! ([`xnf_dtd::nfa::Matcher`]): the expression is 1-unambiguous exactly
+//! when no `first` or `follow` set holds two distinct positions of the
+//! same symbol, i.e. when that automaton is deterministic.
 //!
 //! As a cross-check, [`deterministic_via_derivatives`] decides the same
 //! property with the Brzozowski derivative engine of
 //! `xnf_dtd::derivative`: mark each position uniquely, explore the
 //! derivative automaton of the marked expression, and look for a state
 //! with two live successors on same-symbol positions. The `lint` test
-//! suite runs the two against each other.
+//! suite and the root property tests run the two against each other.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use xnf_dtd::derivative::derivative;
+use xnf_dtd::nfa::Matcher;
 use xnf_dtd::Regex;
 
 /// Evidence that a content model is not 1-unambiguous.
@@ -32,119 +33,14 @@ pub struct Ambiguity {
 }
 
 /// Decides whether `re` is 1-unambiguous (deterministic). On failure,
-/// returns the symbol whose occurrences compete.
+/// returns the symbol whose occurrences compete
+/// ([`Matcher::first_ambiguity`]).
 pub fn check_deterministic(re: &Regex) -> Result<(), Ambiguity> {
-    let mut g = Glushkov {
-        syms: Vec::new(),
-        follow: Vec::new(),
-    };
-    let info = g.walk(re);
-    g.check_set(&info.first)?;
-    for follow in &g.follow {
-        g.check_set(follow)?;
-    }
-    Ok(())
-}
-
-struct Glushkov<'a> {
-    /// Position → its element name, in leaf order.
-    syms: Vec<&'a str>,
-    /// Position → the positions that may follow it.
-    follow: Vec<BTreeSet<usize>>,
-}
-
-struct Info {
-    nullable: bool,
-    first: BTreeSet<usize>,
-    last: BTreeSet<usize>,
-}
-
-impl<'a> Glushkov<'a> {
-    fn walk(&mut self, re: &'a Regex) -> Info {
-        match re {
-            Regex::Epsilon => Info {
-                nullable: true,
-                first: BTreeSet::new(),
-                last: BTreeSet::new(),
-            },
-            Regex::Elem(name) => {
-                let p = self.syms.len();
-                self.syms.push(name);
-                self.follow.push(BTreeSet::new());
-                Info {
-                    nullable: false,
-                    first: BTreeSet::from([p]),
-                    last: BTreeSet::from([p]),
-                }
-            }
-            Regex::Seq(parts) => {
-                let mut acc = Info {
-                    nullable: true,
-                    first: BTreeSet::new(),
-                    last: BTreeSet::new(),
-                };
-                for part in parts {
-                    let info = self.walk(part);
-                    for &p in &acc.last {
-                        self.follow[p].extend(info.first.iter().copied());
-                    }
-                    if acc.nullable {
-                        acc.first.extend(info.first.iter().copied());
-                    }
-                    if info.nullable {
-                        acc.last.extend(info.last.iter().copied());
-                    } else {
-                        acc.last = info.last;
-                    }
-                    acc.nullable &= info.nullable;
-                }
-                acc
-            }
-            Regex::Alt(parts) => {
-                let mut acc = Info {
-                    nullable: false,
-                    first: BTreeSet::new(),
-                    last: BTreeSet::new(),
-                };
-                for part in parts {
-                    let info = self.walk(part);
-                    acc.nullable |= info.nullable;
-                    acc.first.extend(info.first);
-                    acc.last.extend(info.last);
-                }
-                acc
-            }
-            Regex::Star(inner) | Regex::Plus(inner) => {
-                let info = self.walk(inner);
-                for &p in &info.last {
-                    self.follow[p].extend(info.first.iter().copied());
-                }
-                Info {
-                    nullable: matches!(re, Regex::Star(_)) || info.nullable,
-                    ..info
-                }
-            }
-            Regex::Opt(inner) => {
-                let info = self.walk(inner);
-                Info {
-                    nullable: true,
-                    ..info
-                }
-            }
-        }
-    }
-
-    /// Errors if `set` holds two distinct positions of one symbol.
-    fn check_set(&self, set: &BTreeSet<usize>) -> Result<(), Ambiguity> {
-        let mut seen: HashSet<&str> = HashSet::new();
-        for &p in set {
-            if !seen.insert(self.syms[p]) {
-                return Err(Ambiguity {
-                    symbol: self.syms[p].to_string(),
-                });
-            }
-        }
-        Ok(())
+    match Matcher::new(re).first_ambiguity() {
+        None => Ok(()),
+        Some(symbol) => Err(Ambiguity {
+            symbol: symbol.to_string(),
+        }),
     }
 }
 

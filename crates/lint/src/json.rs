@@ -1,28 +1,11 @@
-//! A minimal hand-rolled JSON writer.
+//! A minimal hand-rolled JSON writer for the lint report.
 //!
-//! The build environment vendors no serde, and the lint report is the only
-//! JSON this workspace emits, so a small append-only writer with correct
-//! string escaping is all that is needed. Output is pretty-printed with
+//! The build environment vendors no serde, so a small append-only writer
+//! is all that is needed; strings escape through the workspace's one JSON
+//! string escaper, [`xnf_obs::escape_json`]. Output is pretty-printed with
 //! two-space indentation and stable key order (insertion order).
 
-/// Escapes `s` as the body of a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use xnf_obs::escape_json;
 
 /// An in-progress JSON object.
 #[derive(Debug)]
@@ -58,7 +41,7 @@ impl Object {
         self.buf.push('\n');
         self.buf.push_str(&"  ".repeat(self.indent));
         self.buf.push('"');
-        self.buf.push_str(&escape(key));
+        escape_json(&mut self.buf, key);
         self.buf.push_str("\": ");
     }
 
@@ -66,7 +49,7 @@ impl Object {
     pub fn string(&mut self, key: &str, value: &str) {
         self.key(key);
         self.buf.push('"');
-        self.buf.push_str(&escape(value));
+        escape_json(&mut self.buf, value);
         self.buf.push('"');
     }
 
@@ -165,7 +148,7 @@ impl Array {
     pub fn string(&mut self, value: &str) {
         self.slot();
         self.buf.push('"');
-        self.buf.push_str(&escape(value));
+        escape_json(&mut self.buf, value);
         self.buf.push('"');
     }
 
@@ -193,9 +176,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn escaping_covers_controls_and_quotes() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+    fn keys_and_strings_are_escaped() {
+        let mut o = Object::new();
+        o.string("k\"", "a\nb");
+        o.string_array("xs", ["\u{1}"].into_iter());
+        let s = o.finish();
+        assert!(s.contains("\"k\\\"\": \"a\\nb\""), "{s}");
+        assert!(s.contains("\"\\u0001\""), "{s}");
     }
 
     #[test]

@@ -35,9 +35,12 @@ impl ObsFormat {
     pub const NAMES: &'static str = "chrome|jsonl|prometheus";
 }
 
-/// Escapes `s` as the body of a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s`, escaped as the body of a JSON string literal, to `out`.
+///
+/// The workspace's one JSON string escaper: traces, lint reports,
+/// `analyze` plans, shredded schemas and rows, service bodies and the
+/// `reproduce` perf artifact all escape through it.
+pub fn escape_json(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -51,6 +54,12 @@ pub(crate) fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+}
+
+/// [`escape_json`] into a fresh string, for `format!` arguments.
+pub(crate) fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    escape_json(&mut out, s);
     out
 }
 
@@ -388,6 +397,9 @@ mod tests {
     fn escaping_covers_quotes_and_controls() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
+        let mut out = String::from("x");
+        escape_json(&mut out, "\t\r");
+        assert_eq!(out, "x\\t\\r", "escape_json appends");
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod export;
 mod flight;
 
 pub use counter::{Counter, CounterSnapshot};
-pub use export::{chrome_trace_events, escape_label, ObsFormat};
+pub use export::{chrome_trace_events, escape_json, escape_label, ObsFormat};
 pub use flight::{
     mint_request_id, FlightRecorder, LabeledHistograms, RequestRecord, RequestSummary,
 };

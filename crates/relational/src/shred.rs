@@ -377,22 +377,10 @@ fn json_value(v: &Value) -> String {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
+/// [`xnf_obs::escape_json`] into a fresh string, for `format!` arguments.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    xnf_obs::escape_json(&mut out, s);
     out
 }
 

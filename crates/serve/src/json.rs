@@ -9,7 +9,6 @@
 //! Input size is already bounded upstream by the HTTP body cap.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Nesting bound for arrays/objects: deeper input is rejected. The
 /// service's own payloads nest three levels at most.
@@ -348,19 +347,7 @@ fn utf8_len(first: u8) -> usize {
 /// Writes `s` as a JSON string literal (with quotes) onto `out`.
 pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    xnf_obs::escape_json(out, s);
     out.push('"');
 }
 

@@ -15,6 +15,10 @@
 //!    saturation, the cache, the sharded search, the `analyze.*` sites
 //!    of the static planner, and the `shred.*` sites of the relational
 //!    backend — are all actually visited.
+//!
+//! It also checks that the documents `normalize --doc` and `shred` read
+//! are parsed under the op's budget: their `--metrics` site tables count
+//! one `xml.parse.node` visit per document node.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -176,4 +180,59 @@ fn visited_site_names_follow_the_dotted_convention() {
             "site `{site}` breaks the `layer.loop[.detail]` naming convention"
         );
     }
+}
+
+/// Visits of `site` in a Prometheus site table written by `--metrics`.
+fn site_visits(prometheus: &str, site: &str) -> Option<u64> {
+    let prefix = format!("xnf_checkpoint_visits_total{{site=\"{site}\"}} ");
+    prometheus
+        .lines()
+        .find_map(|l| l.strip_prefix(prefix.as_str()))
+        .map(|n| n.parse().expect("visit count is a number"))
+}
+
+#[test]
+fn documents_are_parsed_under_the_op_budget() {
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    let xml = dir.join(format!("xnf-doc-budget-{id}.xml"));
+    let metrics = dir.join(format!("xnf-doc-budget-{id}.prom"));
+    let doc = xnf_gen::doc::university_document(3, 2, 4, 3);
+    std::fs::write(&xml, xnf_xml::to_string_pretty(&doc)).expect("temp document writes");
+    let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/specs");
+    let dtd = examples.join("university.dtd").display().to_string();
+    let fds = examples.join("university.fds").display().to_string();
+    let (xml_arg, metrics_arg) = (xml.display().to_string(), metrics.display().to_string());
+    for args in [
+        vec![
+            "normalize",
+            &dtd,
+            &fds,
+            "--doc",
+            &xml_arg,
+            "--metrics",
+            &metrics_arg,
+        ],
+        vec![
+            "shred",
+            &dtd,
+            &fds,
+            &xml_arg,
+            "--force",
+            "--metrics",
+            &metrics_arg,
+        ],
+    ] {
+        let args: Vec<String> = args.into_iter().map(str::to_string).collect();
+        xnf_cli::run(&args).unwrap_or_else(|e| panic!("{} failed: {e}", args[0]));
+        let table = std::fs::read_to_string(&metrics).expect("--metrics file written");
+        assert_eq!(
+            site_visits(&table, "xml.parse.node"),
+            Some(doc.num_nodes() as u64),
+            "`{}` must parse its document under the op's budget",
+            args[0]
+        );
+    }
+    let _ = std::fs::remove_file(&xml);
+    let _ = std::fs::remove_file(&metrics);
 }

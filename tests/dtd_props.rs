@@ -1,12 +1,14 @@
-//! Property tests for the DTD substrate: the two membership engines
-//! (Thompson NFA vs Brzozowski derivatives) as differential oracles, and
-//! soundness of the Section 7 simplicity classification.
+//! Property tests for the DTD substrate: the Glushkov automaton vs
+//! Brzozowski derivatives as differential oracles (membership and
+//! 1-unambiguity), and soundness of the Section 7 simplicity
+//! classification.
 
 use proptest::prelude::*;
 use xnf_dtd::classify::{is_trivial, simple_multiplicities, Multiplicity};
 use xnf_dtd::derivative;
 use xnf_dtd::nfa::Matcher;
 use xnf_dtd::Regex;
+use xnf_lint::determinism::deterministic_via_derivatives;
 
 /// A recursive strategy for random content-model regexes over a small
 /// alphabet.
@@ -33,7 +35,8 @@ fn arb_word() -> impl Strategy<Value = Vec<&'static str>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The NFA and the derivative engine agree on every (regex, word).
+    /// The Glushkov automaton and the derivative engine agree on every
+    /// (regex, word).
     #[test]
     fn nfa_and_derivatives_agree(re in arb_regex(), word in arb_word()) {
         let nfa = Matcher::new(&re);
@@ -44,7 +47,20 @@ proptest! {
         );
     }
 
-    /// `simplified()` preserves the language (checked via the NFA on
+    /// The automaton's ambiguity witness and the derivative-based
+    /// 1-unambiguity decision agree on every regex.
+    #[test]
+    fn first_ambiguity_agrees_with_derivatives(re in arb_regex()) {
+        let derivatives = deterministic_via_derivatives(&re);
+        prop_assume!(derivatives.is_some());
+        prop_assert_eq!(
+            Matcher::new(&re).first_ambiguity().is_none(),
+            derivatives.unwrap_or_default(),
+            "1-unambiguity verdicts disagree on {}", re
+        );
+    }
+
+    /// `simplified()` preserves the language (checked via the automaton on
     /// random words).
     #[test]
     fn simplified_preserves_language(re in arb_regex(), word in arb_word()) {

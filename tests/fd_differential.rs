@@ -7,17 +7,21 @@
 //! It also checks the projected enumeration every satisfaction and
 //! losslessness query runs on: `tuples_projected(keep)` restricted to
 //! `keep` is `tuples_D(T)` restricted to `keep`, as a set, and its size
-//! stays linear where the full relation is a product.
+//! stays linear where the full relation is a product. MVD satisfaction
+//! runs on that projection too, and must agree with the swap check over
+//! the full relation.
 
 use proptest::prelude::*;
 use rand::Rng;
 use std::collections::BTreeSet;
 use xnf::core::lossless::{transform_document, undo_step};
+use xnf::core::mvd::{structural_mvd, XmlMvd};
 use xnf::core::{
     normalize, tuples_d, tuples_d_recursive, tuples_enumerated, tuples_projected, tuples_relation,
     NormalizeOptions, Step, XmlFdSet,
 };
-use xnf::dtd::{Dtd, PathId, PathSet};
+use xnf::dtd::{Dtd, Path, PathId, PathSet};
+use xnf::relational::Value;
 use xnf::xml::{NodeId, XmlTree};
 use xnf_gen::doc::{random_document, DocParams};
 use xnf_gen::dtd::{simple_dtd, SimpleDtdParams};
@@ -132,6 +136,57 @@ fn satisfied_on_full_relation(sigma: &XmlFdSet, doc: &XmlTree, dtd: &Dtd, paths:
         .all(|fd| fd.check_tuples(&full))
 }
 
+/// `T ⊨ S₁ ↠ S₂ | S₃` by the swap definition over the full `tuples_D(T)`:
+/// for all `t₁, t₂` with `t₁.S₁ = t₂.S₁` and no `⊥` there, some `t₃` has
+/// `t₁`'s `S₁` and `S₂` values and `t₂`'s `S₃` values.
+fn mvd_on_full_relation(mvd: &XmlMvd, doc: &XmlTree, dtd: &Dtd, paths: &PathSet) -> bool {
+    let full = tuples_d(doc, dtd, paths).unwrap();
+    let ids =
+        |side: &[Path]| -> Vec<PathId> { side.iter().map(|p| paths.resolve(p).unwrap()).collect() };
+    let sides = [ids(&mvd.lhs), ids(&mvd.dep), ids(&mvd.indep)];
+    let rows: BTreeSet<[Vec<Value>; 3]> = full
+        .iter()
+        .map(|t| {
+            sides
+                .each_ref()
+                .map(|side| side.iter().map(|&p| t.get(p).clone()).collect())
+        })
+        .collect();
+    rows.iter().all(|[l1, d1, _]| {
+        l1.contains(&Value::Null)
+            || rows
+                .iter()
+                .filter(|[l2, ..]| l2 == l1)
+                .all(|[_, _, i2]| rows.contains(&[l1.clone(), d1.clone(), i2.clone()]))
+    })
+}
+
+/// An MVD over 1–2 random paths per side.
+fn random_mvd(paths: &PathSet, rng: &mut impl Rng) -> XmlMvd {
+    let all: Vec<PathId> = paths.iter().collect();
+    let mut side = || -> Vec<Path> {
+        (0..rng.random_range(1..3usize))
+            .map(|_| paths.path(all[rng.random_range(0..all.len())]))
+            .collect()
+    };
+    let (lhs, dep, indep) = (side(), side(), side());
+    XmlMvd::new(lhs, dep, indep).unwrap()
+}
+
+/// Every structural MVD `q ↠ subtree(a) | subtree(b)` of `paths`, for
+/// element paths `q` with distinct element children `a` and `b`.
+fn structural_mvds(paths: &PathSet) -> Vec<XmlMvd> {
+    let mut out = Vec::new();
+    for a in paths.iter().filter(|&p| paths.is_element_path(p)) {
+        for b in paths.iter().filter(|&p| paths.is_element_path(p) && p > a) {
+            if let (Some(q), true) = (paths.parent(a), paths.parent(a) == paths.parent(b)) {
+                out.push(structural_mvd(paths, q, a, b).unwrap());
+            }
+        }
+    }
+    out
+}
+
 /// The paper's three specs with their example documents.
 fn paper_fixtures() -> Vec<(Dtd, XmlFdSet, XmlTree)> {
     [
@@ -209,6 +264,38 @@ proptest! {
         let (paths, full) = tuples_d_recursive(&doc, &dtd).unwrap();
         prop_assume!(full.len() <= 256);
         assert_projection_exact(&doc, &dtd, &paths, &mut rng);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On generated documents, MVD verdicts decided on the projection
+    /// onto `S₁ ∪ S₂ ∪ S₃` equal the swap check over the full relation.
+    #[test]
+    fn mvd_verdicts_equal_the_swap_check_on_the_full_relation(seed in 0u64..100_000) {
+        let mut rng = xnf_gen::rng(seed);
+        let dtd = simple_dtd(
+            &mut rng,
+            &SimpleDtdParams { elements: 6, max_children: 3, max_attrs: 2, text_leaf_prob: 0.5 },
+        );
+        let doc = random_document(
+            &dtd,
+            &mut rng,
+            &DocParams { reps: (0, 2), value_alphabet: 2, max_nodes: 150 },
+        );
+        prop_assume!(doc.num_nodes() < 150);
+        let paths = dtd.paths().unwrap();
+        prop_assume!(tuples_d(&doc, &dtd, &paths).unwrap().len() <= 256);
+        let mut mvds = structural_mvds(&paths);
+        mvds.extend((0..8).map(|_| random_mvd(&paths, &mut rng)));
+        for mvd in &mvds {
+            prop_assert_eq!(
+                mvd.satisfied_by(&doc, &dtd, &paths).unwrap(),
+                mvd_on_full_relation(mvd, &doc, &dtd, &paths),
+                "seed {} mvd {}", seed, mvd
+            );
+        }
     }
 }
 
@@ -329,4 +416,54 @@ fn projection_sizes_stay_linear_on_the_decomposed_university_document() {
     let bound = result.sigma.len() as u64 * (students + infos);
     assert!(check <= bound && bound < students * infos);
     assert!(undo <= students);
+}
+
+#[test]
+fn mvd_verdicts_equal_the_swap_check_on_the_paper_documents() {
+    // Structural MVDs hold on every conforming document; random ones over
+    // the paper documents both hold and fail.
+    let mut rng = xnf_gen::rng(11);
+    let (mut held, mut failed) = (0, 0);
+    for (dtd, _, doc) in paper_fixtures() {
+        let paths = dtd.paths().unwrap();
+        for mvd in structural_mvds(&paths) {
+            assert!(mvd.satisfied_by(&doc, &dtd, &paths).unwrap(), "{mvd}");
+            assert!(mvd_on_full_relation(&mvd, &doc, &dtd, &paths), "{mvd}");
+        }
+        for _ in 0..40 {
+            let mvd = random_mvd(&paths, &mut rng);
+            let verdict = mvd.satisfied_by(&doc, &dtd, &paths).unwrap();
+            assert_eq!(
+                verdict,
+                mvd_on_full_relation(&mvd, &doc, &dtd, &paths),
+                "{mvd}"
+            );
+            if verdict {
+                held += 1;
+            } else {
+                failed += 1;
+            }
+        }
+    }
+    assert!(held > 0 && failed > 0, "{held} held, {failed} failed");
+}
+
+#[test]
+fn mvd_check_enumerates_only_its_projection_of_a_product_relation() {
+    // The decomposed university document again: its full tuples_D is
+    // |students| × |info|, but an MVD over the course branch reads one
+    // tuple per student.
+    let (dtd, sigma, _) = paper_fixtures().swap_remove(0);
+    let result = normalize(&dtd, &sigma, &NormalizeOptions::default()).unwrap();
+    let doc = xnf_gen::doc::university_document(32, 10, 320, 320);
+    let transformed = transform_document(&dtd, &result, &doc).unwrap();
+    let paths = result.dtd.paths().unwrap();
+    let mvd: XmlMvd = "courses.course ->> courses.course.title.S | \
+                       courses.course.taken_by.student.@sno"
+        .parse()
+        .unwrap();
+    let before = tuples_enumerated();
+    assert!(mvd.satisfied_by(&transformed, &result.dtd, &paths).unwrap());
+    let enumerated = tuples_enumerated() - before;
+    assert_eq!(enumerated, 320, "one tuple per student, not 320 × 227");
 }

@@ -1,10 +1,11 @@
-//! Panic-surface audit for the library crates.
+//! Source audits of the library crates.
 //!
 //! Walks every `crates/*/src/**/*.rs` file, strips `#[cfg(test)]` blocks
 //! and comments, and counts the remaining `.unwrap()` / `panic!(` sites.
 //! Each file's count must match the whitelist below exactly — a new
 //! panic site fails this test until it is either converted to a `Result`
-//! or consciously whitelisted with a justification.
+//! or consciously whitelisted with a justification. The same walk keeps
+//! JSON string escaping in one place (`xnf_obs::escape_json`).
 //!
 //! The audit of `crates/dtd/src/parse.rs` (this PR) is the model: its
 //! remaining `expect`s guard scanner invariants (`pos <= len` is
@@ -30,38 +31,41 @@ const WHITELIST: [(&str, usize); 1] = [
     ("crates/xml/src/tree.rs", 2),
 ];
 
-fn main_sources(root: &Path) -> Vec<PathBuf> {
+/// Every `crates/*/src/**/*.rs` file; `src/bin/` only `with_bins`.
+fn main_sources(root: &Path, with_bins: bool) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let crates = std::fs::read_dir(root.join("crates")).expect("crates/ exists");
     for krate in crates {
         let src = krate.expect("readable dir entry").path().join("src");
         if src.is_dir() {
-            collect_rs(&src, &mut out);
+            collect_rs(&src, with_bins, &mut out);
         }
     }
     out.sort();
     out
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+fn collect_rs(dir: &Path, with_bins: bool, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable src dir") {
         let path = entry.expect("readable dir entry").path();
         if path.is_dir() {
             // Binaries (`src/bin/`) are entry points where aborting on a
-            // broken invariant is the correct behavior; the audit covers
-            // library surfaces.
-            if path.file_name().is_some_and(|n| n == "bin") {
+            // broken invariant is the correct behavior; the panic audit
+            // covers library surfaces.
+            if !with_bins && path.file_name().is_some_and(|n| n == "bin") {
                 continue;
             }
-            collect_rs(&path, out);
+            collect_rs(&path, with_bins, out);
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
     }
 }
 
-/// Removes `//…` comments, string literal *contents*, and every
+/// Blanks out `//…` comments, string literal *contents*, and every
 /// `#[cfg(test)]`-gated item (attribute through its brace-matched block).
+/// Blanked bytes become spaces (newlines stay), so a byte offset into the
+/// result is the same offset into `src`.
 fn strip_tests_and_comments(src: &str) -> String {
     let no_comments = strip_comments_and_strings(src);
     let mut out = String::with_capacity(no_comments.len());
@@ -69,18 +73,22 @@ fn strip_tests_and_comments(src: &str) -> String {
     while let Some(at) = rest.find("#[cfg(test)]") {
         out.push_str(&rest[..at]);
         let after = &rest[at..];
-        match skip_item(after) {
-            Some(end) => rest = &after[end..],
-            None => {
-                // Unterminated block: drop the remainder (audit stays
-                // conservative — nothing after it is counted, but the
-                // repo has no such file).
-                rest = "";
-            }
-        }
+        // An unterminated block blanks the remainder (the audit stays
+        // conservative — nothing after it is counted, but the repo has no
+        // such file).
+        let end = skip_item(after).unwrap_or(after.len());
+        out.push_str(&blank(&after[..end]));
+        rest = &after[end..];
     }
     out.push_str(rest);
     out
+}
+
+/// `s` with every byte but newlines replaced by a space.
+fn blank(s: &str) -> String {
+    s.bytes()
+        .map(|b| if b == b'\n' { '\n' } else { ' ' })
+        .collect()
 }
 
 /// Byte length of the item that follows a `#[cfg(test)]` attribute: up to
@@ -106,27 +114,36 @@ fn skip_item(s: &str) -> Option<usize> {
 /// Blanks out `//` line comments and the contents of `"…"` string and
 /// `'x'` char literals so brace matching and pattern counting see code
 /// only. (No raw strings or nested block comments in this codebase; block
-/// comments are blanked too.)
+/// comments are blanked too.) Blanked bytes become spaces and newlines
+/// stay, so offsets are preserved.
 fn strip_comments_and_strings(src: &str) -> String {
     let b = src.as_bytes();
     let mut out = Vec::with_capacity(b.len());
+    let blank = |out: &mut Vec<u8>, bytes: &[u8]| {
+        out.extend(bytes.iter().map(|&c| if c == b'\n' { c } else { b' ' }));
+    };
     let mut i = 0;
     while i < b.len() {
         match b[i] {
             b'/' if b.get(i + 1) == Some(&b'/') => {
+                let start = i;
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
+                blank(&mut out, &b[start..i]);
             }
             b'/' if b.get(i + 1) == Some(&b'*') => {
+                let start = i;
                 i += 2;
                 while i + 1 < b.len() && !(b[i] == b'*' && b[i + 1] == b'/') {
                     i += 1;
                 }
                 i = (i + 2).min(b.len());
+                blank(&mut out, &b[start..i]);
             }
             b'"' => {
                 out.push(b'"');
+                let start = i + 1;
                 i += 1;
                 while i < b.len() && b[i] != b'"' {
                     if b[i] == b'\\' {
@@ -134,7 +151,11 @@ fn strip_comments_and_strings(src: &str) -> String {
                     }
                     i += 1;
                 }
-                out.push(b'"');
+                let end = i.min(b.len());
+                blank(&mut out, &b[start..end]);
+                if i < b.len() {
+                    out.push(b'"');
+                }
                 i += 1;
             }
             b'\'' => {
@@ -148,6 +169,7 @@ fn strip_comments_and_strings(src: &str) -> String {
                     .map(|p| i + 1 + p);
                 if let Some(close) = close {
                     out.push(b'\'');
+                    blank(&mut out, &b[i + 1..close]);
                     out.push(b'\'');
                     i = close + 1;
                 } else {
@@ -176,7 +198,7 @@ fn library_crates_have_no_unwhitelisted_panic_sites() {
     let whitelist = whitelist();
     let mut violations = Vec::new();
     let mut seen = std::collections::BTreeSet::new();
-    for path in main_sources(root) {
+    for path in main_sources(root, false) {
         let rel = path
             .strip_prefix(root)
             .expect("path is under the workspace root")
@@ -212,7 +234,7 @@ fn library_crates_have_no_unwhitelisted_panic_sites() {
 fn cli_crate_has_no_expect_sites() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    collect_rs(&root.join("crates/cli/src"), &mut files);
+    collect_rs(&root.join("crates/cli/src"), false, &mut files);
     assert!(!files.is_empty(), "crates/cli/src has moved");
     let mut violations = Vec::new();
     for path in files {
@@ -229,6 +251,39 @@ fn cli_crate_has_no_expect_sites() {
     );
 }
 
+/// The string-quote arm of a hand-rolled JSON string escaper.
+const JSON_ESCAPE_ARM: &str = r#"'"' => out.push_str("\\\"")"#;
+
+/// JSON string escaping lives in one function, `xnf_obs::escape_json`;
+/// every other emitter calls it. A second copy of its quote arm in
+/// non-test code anywhere else fails this test.
+#[test]
+fn json_string_escaping_lives_only_in_obs() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut copies = Vec::new();
+    for path in main_sources(root, true) {
+        let rel = path
+            .strip_prefix(root)
+            .expect("path is under the workspace root")
+            .to_string_lossy()
+            .replace('\\', "/");
+        let src = std::fs::read_to_string(&path).expect("source file is UTF-8");
+        let code = strip_tests_and_comments(&src);
+        // Offsets are preserved, so an arm in code keeps its opening quote.
+        let in_code = src
+            .match_indices(JSON_ESCAPE_ARM)
+            .any(|(at, _)| code.as_bytes()[at] == b'\'');
+        if in_code && !rel.starts_with("crates/obs/src/") {
+            copies.push(rel);
+        }
+    }
+    assert!(
+        copies.is_empty(),
+        "JSON string escaping outside xnf-obs (call `xnf_obs::escape_json` instead):\n  {}",
+        copies.join("\n  ")
+    );
+}
+
 #[test]
 fn stripper_removes_test_modules_and_comments() {
     let src = r#"
@@ -242,4 +297,5 @@ fn stripper_removes_test_modules_and_comments() {
         fn also_real() { panic!("bad"); }
     "#;
     assert_eq!(count_panic_sites(&strip_tests_and_comments(src)), 2);
+    assert_eq!(strip_tests_and_comments(src).len(), src.len());
 }
